@@ -7,8 +7,11 @@
 package dnnfusion_test
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dnnfusion"
@@ -128,5 +131,58 @@ func TestMeasuredTuningOffByDefault(t *testing.T) {
 	}
 	if m.Fingerprint != "" {
 		t.Errorf("analytical compile fingerprinted the graph: %q", m.Fingerprint)
+	}
+}
+
+// TestMeasuredTuningParentV4File: testdata/profile_v4_parent.json is a
+// format-4 database as written before the per-shape schedule caches were
+// retired — yellow-latency entries, "schedules" and "chain_schedules"
+// sections, and an "unroll" factor in every stored schedule. It must
+// load, its tuned plan must replay with zero measurement, and a re-save
+// must drop the dead sections while staying version 4.
+func TestMeasuredTuningParentV4File(t *testing.T) {
+	data, err := os.ReadFile("testdata/profile_v4_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"schedules"`, `"chain_schedules"`, `"unroll"`} {
+		if !bytes.Contains(data, []byte(key)) {
+			t.Fatalf("fixture lacks %s; it no longer exercises the old sections", key)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "profile.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := dnnfusion.LoadProfileDB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Len() == 0 || db.PlanLen() != 1 {
+		t.Fatalf("loaded %d latency entries and %d tuned plans, want >0 and 1", db.Len(), db.PlanLen())
+	}
+
+	tuner.SetClock(tuner.StepClock(1000))
+	defer tuner.ResetClock()
+	m := compileTuned(t, models.MicroMLP(), db)
+	if m.Stats.TunedPlanHits != 1 || m.Stats.MeasuredRuns != 0 || m.Stats.ScheduleMisses != 0 {
+		t.Errorf("tuned plan did not replay: hits=%d measured_runs=%d schedule_misses=%d",
+			m.Stats.TunedPlanHits, m.Stats.MeasuredRuns, m.Stats.ScheduleMisses)
+	}
+
+	if err := db.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(saved, []byte(`"version": 4`)) {
+		t.Errorf("re-save is not version 4:\n%s", saved)
+	}
+	for _, key := range []string{`"schedules"`, `"chain_schedules"`, `"unroll"`} {
+		if bytes.Contains(saved, []byte(key)) {
+			t.Errorf("re-save still carries %s:\n%s", key, saved)
+		}
 	}
 }

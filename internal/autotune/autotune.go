@@ -181,49 +181,55 @@ func Build(e *ecg.ECG, cfg Config, spec Spec) (*fusion.Plan, []*codegen.Kernel, 
 	if err != nil {
 		return nil, nil, err
 	}
-	applyAnalytical(kernels, cfg.Device)
+	SelectSchedules(kernels, cfg.Device)
 	return plan, kernels, nil
 }
 
-// applyAnalytical assigns the analytical best schedule to every
-// schedulable kernel (what core's selectSchedules would pick, minus the
-// profile cache) and returns how many kernels are schedulable.
-func applyAnalytical(kernels []*codegen.Kernel, dev *device.Device) int {
+// SelectSchedules assigns every schedulable kernel its analytical
+// schedule — the top of the exhaustive ranking — and returns how many
+// kernels are schedulable. It is the analytical compile path's schedule
+// stage and the measured search's starting point. Selection is a pure
+// function of (task, device), so the same model always compiles to the
+// same schedules; they are applied to the kernels' Source trees at
+// session bind time (codegen.BindParallel).
+func SelectSchedules(kernels []*codegen.Kernel, dev *device.Device) int {
 	n := 0
 	for _, k := range kernels {
-		if k.Block.Chain != nil {
-			if pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
-				k.TaskM, k.TaskN, k.TaskK = cm, cn, ck
-				res := tuner.SelectChain(
-					tuner.Task{M: pm, N: pn, K: pk, Device: dev},
-					tuner.Task{M: cm, N: cn, K: ck, Device: dev})
-				k.Schedule, k.ProducerSchedule = res.Consumer, res.Producer
-				n++
-				continue
-			}
-		}
-		if m, nn, kk, ok := k.ScheduleTask(); ok {
-			k.TaskM, k.TaskN, k.TaskK = m, nn, kk
-			res := tuner.Select(tuner.Task{M: m, N: nn, K: kk, Device: dev}, tuner.GAOptions{})
-			k.Schedule = res.Schedule
+		if _, ranked, ok := rankTask(k, dev, 1); ok {
+			k.Schedule, k.ProducerSchedule = ranked[0].Consumer, ranked[0].Producer
 			n++
 		}
 	}
 	return n
 }
 
-// taskKey canonicalizes a schedulable kernel's tuning task for the
-// persisted plan (and for the warm-start cross-check).
-func taskKey(k *codegen.Kernel, dev *device.Device) (string, bool) {
+// rankTask decides one kernel's tuning task — the single place that knows
+// how a kernel maps to a task. It records the task's GEMM dims on the
+// kernel and returns the canonical task string (the tuned plan's
+// cross-check key) with the topK best schedule pairs by the analytical
+// fitness, best first. Chain kernels rank producer/consumer pairs jointly;
+// other kernels rank a single schedule, reported as the pair's Consumer
+// with a zero Producer. ok is false for kernels with nothing to schedule.
+func rankTask(k *codegen.Kernel, dev *device.Device, topK int) (string, []tuner.ChainScheduleResult, bool) {
 	if k.Block.Chain != nil {
 		if pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
-			return profile.ChainScheduleKey(dev.Name, pm, pn, pk, cm, cn, ck), true
+			k.TaskM, k.TaskN, k.TaskK = cm, cn, ck
+			return profile.ChainScheduleKey(dev.Name, pm, pn, pk, cm, cn, ck),
+				tuner.SelectChainTopK(
+					tuner.Task{M: pm, N: pn, K: pk, Device: dev},
+					tuner.Task{M: cm, N: cn, K: ck, Device: dev}, topK), true
 		}
 	}
-	if m, n, kk, ok := k.ScheduleTask(); ok {
-		return profile.ScheduleKey(dev.Name, m, n, kk), true
+	m, n, kk, ok := k.ScheduleTask()
+	if !ok {
+		return "", nil, false
 	}
-	return "", false
+	k.TaskM, k.TaskN, k.TaskK = m, n, kk
+	var ranked []tuner.ChainScheduleResult
+	for _, s := range tuner.SelectTopK(tuner.Task{M: m, N: n, K: kk, Device: dev}, topK) {
+		ranked = append(ranked, tuner.ChainScheduleResult{Consumer: s})
+	}
+	return profile.ScheduleKey(dev.Name, m, n, kk), ranked, true
 }
 
 // snapshot captures the schedulable kernels' current schedules as the
@@ -235,7 +241,7 @@ func snapshot(spec Spec, kernels []*codegen.Kernel, dev *device.Device) profile.
 		Seeds:     int(spec.Seeds),
 	}
 	for _, k := range kernels {
-		key, ok := taskKey(k, dev)
+		key, _, ok := rankTask(k, dev, 0)
 		if !ok {
 			continue
 		}
@@ -318,7 +324,7 @@ func Search(e *ecg.ECG, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("autotune: candidate %+v: %w", spec, err)
 		}
-		applyAnalytical(kernels, cfg.Device)
+		SelectSchedules(kernels, cfg.Device)
 		cands = append(cands, &cand{spec: spec, plan: plan, kernels: kernels, prior: prior(e, plan, cfg)})
 	}
 	// Prior order, baseline pinned first: it is the no-measurement
@@ -369,50 +375,19 @@ func Search(e *ecg.ECG, cfg Config) (*Result, error) {
 		}
 	refine:
 		for _, k := range order {
-			if k.Block.Chain != nil {
-				pm, pn, pk, cm, cn, ck, ok := k.ChainScheduleTasks()
-				if !ok {
-					continue
-				}
-				for _, alt := range tuner.SelectChainTopK(
-					tuner.Task{M: pm, N: pn, K: pk, Device: cfg.Device},
-					tuner.Task{M: cm, N: cn, K: ck, Device: cfg.Device}, cfg.TopK) {
-					if alt.Consumer == k.Schedule && alt.Producer == k.ProducerSchedule {
-						continue
-					}
-					if remaining <= 0 {
-						break refine
-					}
-					prevC, prevP := k.Schedule, k.ProducerSchedule
-					k.Schedule, k.ProducerSchedule = alt.Consumer, alt.Producer
-					ns, err := measure(e, best.plan, best.kernels, cfg, feeds)
-					if err != nil {
-						return nil, fmt.Errorf("autotune: refining chain kernel %s: %w", k.Name, err)
-					}
-					runs++
-					remaining--
-					if ns < bestNs {
-						bestNs = ns
-						scheduleDiffers = true
-					} else {
-						k.Schedule, k.ProducerSchedule = prevC, prevP
-					}
-				}
-				continue
-			}
-			m, n, kk, ok := k.ScheduleTask()
+			_, ranked, ok := rankTask(k, cfg.Device, cfg.TopK)
 			if !ok {
 				continue
 			}
-			for _, alt := range tuner.SelectTopK(tuner.Task{M: m, N: n, K: kk, Device: cfg.Device}, cfg.TopK) {
-				if alt == k.Schedule {
+			for _, alt := range ranked {
+				if alt.Consumer == k.Schedule && alt.Producer == k.ProducerSchedule {
 					continue
 				}
 				if remaining <= 0 {
 					break refine
 				}
-				prev := k.Schedule
-				k.Schedule = alt
+				prevC, prevP := k.Schedule, k.ProducerSchedule
+				k.Schedule, k.ProducerSchedule = alt.Consumer, alt.Producer
 				ns, err := measure(e, best.plan, best.kernels, cfg, feeds)
 				if err != nil {
 					return nil, fmt.Errorf("autotune: refining kernel %s: %w", k.Name, err)
@@ -423,7 +398,7 @@ func Search(e *ecg.ECG, cfg Config) (*Result, error) {
 					bestNs = ns
 					scheduleDiffers = true
 				} else {
-					k.Schedule = prev
+					k.Schedule, k.ProducerSchedule = prevC, prevP
 				}
 			}
 		}
@@ -460,7 +435,7 @@ func Rebuild(e *ecg.ECG, cfg Config, tp profile.TunedPlan) (*fusion.Plan, []*cod
 	}
 	j := 0
 	for _, k := range kernels {
-		key, ok := taskKey(k, cfg.Device)
+		key, _, ok := rankTask(k, cfg.Device, 0)
 		if !ok {
 			continue
 		}
@@ -477,11 +452,6 @@ func Rebuild(e *ecg.ECG, cfg Config, tp profile.TunedPlan) (*fusion.Plan, []*cod
 				return nil, nil, fmt.Errorf("autotune: tuned kernel %d (%q) misses the producer schedule", j, tk.Task)
 			}
 			k.ProducerSchedule = *tk.Producer
-			if _, _, _, cm, cn, ck, ok := k.ChainScheduleTasks(); ok {
-				k.TaskM, k.TaskN, k.TaskK = cm, cn, ck
-			}
-		} else if m, n, kk, ok := k.ScheduleTask(); ok {
-			k.TaskM, k.TaskN, k.TaskK = m, n, kk
 		}
 		j++
 	}

@@ -5,7 +5,6 @@ import (
 
 	"dnnfusion/internal/graph"
 	"dnnfusion/internal/models"
-	"dnnfusion/internal/profile"
 )
 
 func buildMicro(name string) *graph.Graph {
@@ -54,40 +53,5 @@ func TestChainFusionShrinksPlannedPeak(t *testing.T) {
 				t.Errorf("fused kernel count %d, unfused %d — chain did not merge kernels", fk, bk)
 			}
 		})
-	}
-}
-
-// TestChainScheduleCachedInProfileDB: the joint producer/consumer schedule
-// of a chain kernel is a tuner search on first compile and a profile-DB
-// hit on the second, under the chain-specific key space.
-func TestChainScheduleCachedInProfileDB(t *testing.T) {
-	db := profile.New()
-	opts := Defaults()
-	opts.ProfileDB = db
-	first, err := Compile(buildMicro("micro-attention"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.ChainFusions == 0 {
-		t.Fatal("no chain fused")
-	}
-	if db.ChainScheduleLen() == 0 {
-		t.Fatal("first compile cached no chain schedule")
-	}
-	second, err := Compile(buildMicro("micro-attention"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.ScheduleMisses != 0 {
-		t.Errorf("second compile missed %d schedule lookups — chain key not cached",
-			second.Stats.ScheduleMisses)
-	}
-	// The cached pair must reproduce the searched pair on the chain kernel.
-	for i, k := range second.Kernels {
-		fk := first.Kernels[i]
-		if k.Schedule != fk.Schedule || k.ProducerSchedule != fk.ProducerSchedule {
-			t.Errorf("kernel %d schedules differ across cached recompile: %+v/%+v vs %+v/%+v",
-				i, k.Schedule, k.ProducerSchedule, fk.Schedule, fk.ProducerSchedule)
-		}
 	}
 }

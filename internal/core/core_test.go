@@ -7,9 +7,11 @@ import (
 
 	"dnnfusion/internal/device"
 	"dnnfusion/internal/graph"
+	"dnnfusion/internal/models"
 	"dnnfusion/internal/ops"
 	"dnnfusion/internal/profile"
 	"dnnfusion/internal/tensor"
+	"dnnfusion/internal/tuner"
 )
 
 // buildAttentionish: a transformer-flavored micro-graph with rewritable
@@ -173,10 +175,9 @@ func TestEstimateBlockLatencyBoundaries(t *testing.T) {
 }
 
 // TestScheduleSelectionDeterministic pins the compile-artifact contract:
-// compiling the same model twice yields identical tile schedules — with no
-// database (selection is a pure function of shape and device), and with a
-// shared profile database, where the second compilation must hit the
-// schedule cache for every kernel and search nothing.
+// compiling the same model twice yields identical tile schedules, chain
+// producer schedules included (selection is a pure function of shape and
+// device).
 func TestScheduleSelectionDeterministic(t *testing.T) {
 	schedulesOf := func(c *Compiled) []string {
 		var out []string
@@ -184,82 +185,62 @@ func TestScheduleSelectionDeterministic(t *testing.T) {
 			if k.Schedule.Zero() {
 				continue
 			}
-			out = append(out, fmt.Sprintf("%dx%dx%d:%+v", k.TaskM, k.TaskN, k.TaskK, k.Schedule))
+			out = append(out, fmt.Sprintf("%dx%dx%d:%v+prod:%v", k.TaskM, k.TaskN, k.TaskK, k.Schedule, k.ProducerSchedule))
 		}
 		return out
 	}
-	g := buildAttentionish(t)
-	c1, err := Compile(g, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Compile(g, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, s2 := schedulesOf(c1), schedulesOf(c2)
-	if len(s1) == 0 {
-		t.Fatal("no kernel got a schedule; the attention graph has heavy kernels")
-	}
-	if c1.Stats.ScheduleLookups == 0 || c1.Stats.ScheduleMisses == 0 {
-		t.Fatalf("stats did not record selection: %+v", c1.Stats)
-	}
-	if fmt.Sprint(s1) != fmt.Sprint(s2) {
-		t.Fatalf("same model compiled to different schedules:\n%v\n%v", s1, s2)
-	}
-
-	db := profile.New()
-	opts := Defaults()
-	opts.ProfileDB = db
-	c3, err := Compile(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c3.Stats.ScheduleMisses == 0 {
-		t.Fatal("cold database should miss")
-	}
-	c4, err := Compile(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c4.Stats.ScheduleMisses != 0 {
-		t.Errorf("warm database searched again: %d misses", c4.Stats.ScheduleMisses)
-	}
-	if c4.Stats.ScheduleLookups != c3.Stats.ScheduleLookups {
-		t.Errorf("lookup counts diverge: %d vs %d", c4.Stats.ScheduleLookups, c3.Stats.ScheduleLookups)
-	}
-	if fmt.Sprint(schedulesOf(c3)) != fmt.Sprint(s1) {
-		t.Errorf("database-backed selection diverges from pure selection:\n%v\n%v", schedulesOf(c3), s1)
-	}
-	if fmt.Sprint(schedulesOf(c4)) != fmt.Sprint(s1) {
-		t.Errorf("cached selection diverges:\n%v\n%v", schedulesOf(c4), s1)
+	for _, g := range []*graph.Graph{buildAttentionish(t), buildMicro("micro-attention")} {
+		c1, err := Compile(g, Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2, err := Compile(g, Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1, s2 := schedulesOf(c1), schedulesOf(c2)
+		if len(s1) == 0 {
+			t.Fatalf("%s: no kernel got a schedule; the graph has heavy kernels", g.Name)
+		}
+		if c1.Stats.ScheduleLookups != len(s1) || c1.Stats.ScheduleMisses != len(s1) {
+			t.Fatalf("%s: stats did not record selection of %d kernels: %+v", g.Name, len(s1), c1.Stats)
+		}
+		if fmt.Sprint(s1) != fmt.Sprint(s2) {
+			t.Fatalf("%s: same model compiled to different schedules:\n%v\n%v", g.Name, s1, s2)
+		}
 	}
 }
 
-// TestScheduleDeviceChangesSelection pins that WithDevice now reaches the
-// kernels: a device with a different cache hierarchy may tune differently,
-// and at minimum the selection must key on the device (distinct cache
-// entries), so profiles from different targets never collide.
-func TestScheduleDeviceKeysCache(t *testing.T) {
-	g := buildAttentionish(t)
-	db := profile.New()
-	optsCPU := Defaults()
-	optsCPU.ProfileDB = db
-	optsCPU.Device = device.Snapdragon865CPU()
-	if _, err := Compile(g, optsCPU); err != nil {
-		t.Fatal(err)
+// TestScheduleDeviceChangesSelection pins that WithDevice reaches the
+// kernels: every kernel's schedule is the top of the ranking for the
+// compile target's cache hierarchy, and the CPU and GPU targets (different
+// cache sizes) select differently on VGG-16's convolutions.
+func TestScheduleDeviceChangesSelection(t *testing.T) {
+	var picks []string
+	for _, dev := range []*device.Device{device.Snapdragon865CPU(), device.Adreno650()} {
+		opts := Defaults()
+		opts.Device = dev
+		c, err := Compile(models.VGG16(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []ops.Schedule
+		for _, k := range c.Kernels {
+			if k.Schedule.Zero() {
+				continue
+			}
+			want := tuner.SelectTopK(tuner.Task{M: k.TaskM, N: k.TaskN, K: k.TaskK, Device: dev}, 1)[0]
+			if k.Schedule != want {
+				t.Errorf("%s: kernel %s has %v, the ranking for the device picks %v", dev.Name, k.Name, k.Schedule, want)
+			}
+			got = append(got, k.Schedule)
+		}
+		if len(got) == 0 {
+			t.Fatalf("%s: no kernel got a schedule", dev.Name)
+		}
+		picks = append(picks, fmt.Sprint(got))
 	}
-	n := db.ScheduleLen()
-	if n == 0 {
-		t.Fatal("no schedules cached")
-	}
-	optsGPU := Defaults()
-	optsGPU.ProfileDB = db
-	optsGPU.Device = device.Adreno650()
-	if _, err := Compile(g, optsGPU); err != nil {
-		t.Fatal(err)
-	}
-	if db.ScheduleLen() <= n {
-		t.Errorf("second device reused the first device's cache entries (%d vs %d)", db.ScheduleLen(), n)
+	if picks[0] == picks[1] {
+		t.Errorf("CPU and GPU targets selected identical schedules %s; the device does not reach selection", picks[0])
 	}
 }

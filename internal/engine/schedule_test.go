@@ -23,11 +23,11 @@ import (
 // engineScheduleGrid spans the heights and panels the blocked kernels
 // implement, plus values that normalize (height 3, panel wider than N).
 var engineScheduleGrid = []ops.Schedule{
-	{RowTile: 1, ColPanel: 8, Unroll: 1},
-	{RowTile: 2, ColPanel: 16, Unroll: 2},
-	{RowTile: 3, ColPanel: 33, Unroll: 4},
-	{RowTile: 4, ColPanel: 64, Unroll: 4},
-	{RowTile: 8, ColPanel: 512, Unroll: 8},
+	{RowTile: 1, ColPanel: 8},
+	{RowTile: 2, ColPanel: 16},
+	{RowTile: 3, ColPanel: 33},
+	{RowTile: 4, ColPanel: 64},
+	{RowTile: 8, ColPanel: 512},
 }
 
 // compileWithSchedule compiles g's plan and forces sched onto every
@@ -137,7 +137,7 @@ func TestScheduleGridBatchParity(t *testing.T) {
 func TestScheduleZeroAllocSteadyState(t *testing.T) {
 	for _, threads := range []int{1, 8} {
 		g, _ := buildMLP(t)
-		ex := compileWithSchedule(t, g, ops.Schedule{RowTile: 8, ColPanel: 512, Unroll: 8}, threads)
+		ex := compileWithSchedule(t, g, ops.Schedule{RowTile: 8, ColPanel: 512}, threads)
 		in := tensor.NewOf(tensor.Of(16, 64)).Rand(5)
 		feeds := map[*graph.Value]*tensor.Tensor{g.Inputs[0]: in}
 		s := ex.NewSession()

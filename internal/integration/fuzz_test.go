@@ -323,10 +323,10 @@ func FuzzDifferential(f *testing.F) {
 // to twice the documented bound from each other.
 func TestForcedScheduleGridParity(t *testing.T) {
 	grid := []ops.Schedule{
-		{RowTile: 1, ColPanel: 8, Unroll: 1},
-		{RowTile: 2, ColPanel: 16, Unroll: 4},
-		{RowTile: 4, ColPanel: 32, Unroll: 4},
-		{RowTile: 8, ColPanel: 4096, Unroll: 8},
+		{RowTile: 1, ColPanel: 8},
+		{RowTile: 2, ColPanel: 16},
+		{RowTile: 4, ColPanel: 32},
+		{RowTile: 8, ColPanel: 4096},
 	}
 	for seed := uint64(1); seed <= 6; seed++ {
 		g := chainGraph(seed, 12)

@@ -517,7 +517,7 @@ func blockedGemm(s *gemmSource, shapes []tensor.Shape) Source {
 	}
 	// The pre-schedule Gemm streamed single rows with no panel loop; that
 	// stays the default, and tuned kernels raise it via ApplySchedule.
-	blk.setSchedule(Schedule{RowTile: 1, ColPanel: s.n, Unroll: 4})
+	blk.setSchedule(Schedule{RowTile: 1, ColPanel: s.n})
 	return blk
 }
 

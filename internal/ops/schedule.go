@@ -8,7 +8,8 @@ import (
 
 // Schedule is the tile schedule of a heavy kernel — the compile-time
 // artifact the tuner selects per kernel shape and device (§4.3–4.4 pair
-// fusion with tuned per-kernel schedules). It parameterizes the blocked
+// fusion with tuned per-kernel schedules): exactly the two parameters the
+// executed loops read. It parameterizes the blocked
 // fast paths that used to hard-code their blocking: the register row tile
 // and L1 column panel of MatMul/Gemm, and the lane-splitting granularity
 // of Conv/Pool. The contraction (K) axis is never tiled: every output
@@ -23,35 +24,30 @@ type Schedule struct {
 	// ColPanel is the column-panel width in output columns: the slice of
 	// B kept hot across all row tiles of a pass. Clamped to [8, N].
 	ColPanel int `json:"col_panel"`
-	// Unroll is the inner-loop unroll factor selected by the tuner. The
-	// in-process CPU path leaves unrolling to the Go compiler; the factor
-	// is recorded for the emitted kernel source and for bench
-	// explainability.
-	Unroll int `json:"unroll"`
 }
 
 // Zero reports an unset schedule (no tuner ran for the kernel).
-func (s Schedule) Zero() bool { return s.RowTile == 0 && s.ColPanel == 0 && s.Unroll == 0 }
+func (s Schedule) Zero() bool { return s.RowTile == 0 && s.ColPanel == 0 }
 
 // String renders the schedule compactly for profiles and bench output:
-// "rt4/cp128/u4", or "default" for the zero schedule (the operators'
+// "rt4/cp128", or "default" for the zero schedule (the operators'
 // built-in blocking).
 func (s Schedule) String() string {
 	if s.Zero() {
 		return "default"
 	}
-	return fmt.Sprintf("rt%d/cp%d/u%d", s.RowTile, s.ColPanel, s.Unroll)
+	return fmt.Sprintf("rt%d/cp%d", s.RowTile, s.ColPanel)
 }
 
 // DefaultSchedule is the schedule the blocked paths assume when no tuner
 // ran: the pre-schedule hard-coded blocking (4-row tiles, ~16KiB column
-// panels of a K-row B panel, unroll 4), kept as the fallback so
+// panels of a K-row B panel), kept as the fallback so
 // Virtualize-without-compile callers see unchanged behavior.
 func DefaultSchedule(k int) Schedule {
 	if k < 1 {
 		k = 1
 	}
-	return Schedule{RowTile: 4, ColPanel: 4096 / k, Unroll: 4}
+	return Schedule{RowTile: 4, ColPanel: 4096 / k}
 }
 
 // normalizeRowTile rounds a requested row-tile height down to the nearest

@@ -15,12 +15,12 @@ import (
 
 // scheduleGrid is the test matrix of schedules.
 var scheduleGrid = []Schedule{
-	{RowTile: 1, ColPanel: 8, Unroll: 1},
-	{RowTile: 2, ColPanel: 16, Unroll: 2},
-	{RowTile: 3, ColPanel: 33, Unroll: 4}, // normalizes to height 2
-	{RowTile: 4, ColPanel: 64, Unroll: 4},
-	{RowTile: 8, ColPanel: 512, Unroll: 8},
-	{RowTile: 16, ColPanel: 4, Unroll: 4}, // height rounds to 8, panel to 8
+	{RowTile: 1, ColPanel: 8},
+	{RowTile: 2, ColPanel: 16},
+	{RowTile: 3, ColPanel: 33}, // normalizes to height 2
+	{RowTile: 4, ColPanel: 64},
+	{RowTile: 8, ColPanel: 512},
+	{RowTile: 16, ColPanel: 4}, // height rounds to 8, panel to 8
 }
 
 // assertScheduleGridParity applies every schedule in the grid to a fresh
@@ -133,20 +133,20 @@ func TestScheduleNormalization(t *testing.T) {
 // chains, reorganize views).
 func TestTileSpanAlignment(t *testing.T) {
 	mm := virtualize(t, NewMatMul(), randSource(100, 16, 12), randSource(101, 12, 20))
-	ApplySchedule(mm, Schedule{RowTile: 4, ColPanel: 16, Unroll: 4})
+	ApplySchedule(mm, Schedule{RowTile: 4, ColPanel: 16})
 	if got := TileSpan(mm); got != 4*20 {
 		t.Errorf("matmul TileSpan = %d, want %d", got, 4*20)
 	}
 	chain := virtualize(t, NewRelu(), virtualize(t, NewAdd(),
 		virtualize(t, NewMatMul(), randSource(102, 16, 12), randSource(103, 12, 20)),
 		randSource(104, 20)))
-	ApplySchedule(chain, Schedule{RowTile: 8, ColPanel: 16, Unroll: 4})
+	ApplySchedule(chain, Schedule{RowTile: 8, ColPanel: 16})
 	if got := TileSpan(chain); got != 8*20 {
 		t.Errorf("chain TileSpan = %d, want %d", got, 8*20)
 	}
 	soft := virtualize(t, NewSoftmax(-1),
 		virtualize(t, NewMatMul(), randSource(105, 16, 12), randSource(106, 12, 20)))
-	ApplySchedule(soft, Schedule{RowTile: 2, ColPanel: 16, Unroll: 4})
+	ApplySchedule(soft, Schedule{RowTile: 2, ColPanel: 16})
 	if got := TileSpan(soft); got != 2*20 {
 		t.Errorf("softmax TileSpan = %d, want %d", got, 2*20)
 	}

@@ -21,17 +21,10 @@ import (
 	"dnnfusion/internal/ops"
 )
 
-// DB is a latency and schedule database. Safe for concurrent use.
+// DB is a latency and tuned-plan database. Safe for concurrent use.
 type DB struct {
 	mu      sync.Mutex
 	entries map[string]float64
-	// schedules caches tuner-selected tile schedules per kernel shape and
-	// device (ScheduleKey), so repeat compilations skip the GA search —
-	// the schedule half of Figure 9b's caching effect.
-	schedules map[string]ops.Schedule
-	// chainSchedules caches jointly tuned chain-kernel schedule pairs
-	// (ChainScheduleKey).
-	chainSchedules map[string]ChainSchedule
 	// plans stores measured-tuning winners — a whole-graph fusion-plan
 	// spec plus per-kernel schedules — keyed by PlanKey (graph
 	// fingerprint × device × batch size), so repeat compilations with
@@ -39,25 +32,20 @@ type DB struct {
 	plans map[string]TunedPlan
 
 	// Hits/Misses count latency lookups; Measurements counts inserts that
-	// came from fresh measurements (not a bulk load). ScheduleHits/
-	// ScheduleMisses count schedule lookups the same way, and PlanHits/
-	// PlanMisses tuned-plan lookups.
-	Hits           int
-	Misses         int
-	Measurements   int
-	ScheduleHits   int
-	ScheduleMisses int
-	PlanHits       int
-	PlanMisses     int
+	// came from fresh measurements (not a bulk load). PlanHits/PlanMisses
+	// count tuned-plan lookups the same way.
+	Hits         int
+	Misses       int
+	Measurements int
+	PlanHits     int
+	PlanMisses   int
 }
 
 // New returns an empty database.
 func New() *DB {
 	return &DB{
-		entries:        map[string]float64{},
-		schedules:      map[string]ops.Schedule{},
-		chainSchedules: map[string]ChainSchedule{},
-		plans:          map[string]TunedPlan{},
+		entries: map[string]float64{},
+		plans:   map[string]TunedPlan{},
 	}
 }
 
@@ -96,82 +84,20 @@ func (db *DB) ResetStats() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.Hits, db.Misses, db.Measurements = 0, 0, 0
-	db.ScheduleHits, db.ScheduleMisses = 0, 0
 	db.PlanHits, db.PlanMisses = 0, 0
 }
 
 // ScheduleKey canonicalizes one heavy-kernel tuning task: device identity
-// plus the GEMM-shape contraction dimensions. Kernels with the same shape
-// on the same device share one tuned schedule across models.
+// plus the GEMM-shape contraction dimensions. It is the task string a
+// tuned plan records per kernel.
 func ScheduleKey(deviceName string, m, n, k int) string {
 	return fmt.Sprintf("sched|%s|m=%d,n=%d,k=%d", deviceName, m, n, k)
-}
-
-// LookupSchedule returns the cached tuned schedule for key.
-func (db *DB) LookupSchedule(key string) (ops.Schedule, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s, ok := db.schedules[key]
-	if ok {
-		db.ScheduleHits++
-	} else {
-		db.ScheduleMisses++
-	}
-	return s, ok
-}
-
-// InsertSchedule stores a tuned schedule.
-func (db *DB) InsertSchedule(key string, s ops.Schedule) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.schedules[key] = s
-}
-
-// ScheduleLen returns the number of cached schedules.
-func (db *DB) ScheduleLen() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.schedules)
-}
-
-// ChainSchedule is a jointly tuned schedule pair for a fused contraction
-// chain: Producer tiles the first contraction, Consumer the second.
-type ChainSchedule struct {
-	Producer ops.Schedule `json:"producer"`
-	Consumer ops.Schedule `json:"consumer"`
 }
 
 // ChainScheduleKey canonicalizes one chain-kernel tuning task: device
 // identity plus both contractions' GEMM shapes.
 func ChainScheduleKey(deviceName string, pm, pn, pk, cm, cn, ck int) string {
 	return fmt.Sprintf("chain|%s|p=%dx%dx%d,c=%dx%dx%d", deviceName, pm, pn, pk, cm, cn, ck)
-}
-
-// LookupChainSchedule returns the cached chain schedule pair for key.
-func (db *DB) LookupChainSchedule(key string) (ChainSchedule, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s, ok := db.chainSchedules[key]
-	if ok {
-		db.ScheduleHits++
-	} else {
-		db.ScheduleMisses++
-	}
-	return s, ok
-}
-
-// InsertChainSchedule stores a tuned chain schedule pair.
-func (db *DB) InsertChainSchedule(key string, s ChainSchedule) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.chainSchedules[key] = s
-}
-
-// ChainScheduleLen returns the number of cached chain schedule pairs.
-func (db *DB) ChainScheduleLen() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.chainSchedules)
 }
 
 // TunedKernel is one schedulable kernel's slot in a tuned plan. Task is
@@ -299,16 +225,17 @@ func (e *VersionError) Error() string {
 
 func (e *VersionError) Unwrap() error { return ErrVersion }
 
-// fileFormat is the on-disk representation. Version 2 added the tuned
-// schedule cache, version 3 the chain-schedule cache, version 4 the
-// measured-tuning plan table; older files load with the missing sections
-// empty. Versions newer than FormatVersion fail with a *VersionError.
+// fileFormat is the on-disk representation. Version 4 added the
+// measured-tuning plan table; older files load with it empty. Files may
+// also carry per-shape schedule caches ("schedules", "chain_schedules")
+// and an "unroll" factor in stored schedules: analytical schedules are
+// re-ranked on every compilation and no kernel reads an unroll factor, so
+// those keys are ignored on load and dropped on the next save. Versions
+// newer than FormatVersion fail with a *VersionError.
 type fileFormat struct {
-	Version        int                      `json:"version"`
-	Entries        map[string]float64       `json:"entries"`
-	Schedules      map[string]ops.Schedule  `json:"schedules,omitempty"`
-	ChainSchedules map[string]ChainSchedule `json:"chain_schedules,omitempty"`
-	Plans          map[string]TunedPlan     `json:"plans,omitempty"`
+	Version int                  `json:"version"`
+	Entries map[string]float64   `json:"entries"`
+	Plans   map[string]TunedPlan `json:"plans,omitempty"`
 }
 
 // Save writes the database as JSON, atomically: the bytes land in a
@@ -320,20 +247,12 @@ type fileFormat struct {
 func (db *DB) Save(path string) error {
 	db.mu.Lock()
 	ff := fileFormat{
-		Version:        FormatVersion,
-		Entries:        make(map[string]float64, len(db.entries)),
-		Schedules:      make(map[string]ops.Schedule, len(db.schedules)),
-		ChainSchedules: make(map[string]ChainSchedule, len(db.chainSchedules)),
-		Plans:          make(map[string]TunedPlan, len(db.plans)),
+		Version: FormatVersion,
+		Entries: make(map[string]float64, len(db.entries)),
+		Plans:   make(map[string]TunedPlan, len(db.plans)),
 	}
 	for k, v := range db.entries {
 		ff.Entries[k] = v
-	}
-	for k, v := range db.schedules {
-		ff.Schedules[k] = v
-	}
-	for k, v := range db.chainSchedules {
-		ff.ChainSchedules[k] = v
 	}
 	for k, v := range db.plans {
 		ff.Plans[k] = v
@@ -386,12 +305,6 @@ func Load(path string) (*DB, error) {
 	db := New()
 	for k, v := range ff.Entries {
 		db.entries[k] = v
-	}
-	for k, v := range ff.Schedules {
-		db.schedules[k] = v
-	}
-	for k, v := range ff.ChainSchedules {
-		db.chainSchedules[k] = v
 	}
 	for k, v := range ff.Plans {
 		db.plans[k] = v

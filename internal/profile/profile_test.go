@@ -84,40 +84,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestScheduleCacheRoundTrip(t *testing.T) {
-	db := New()
-	db.Insert("latency", 3.5)
-	key := ScheduleKey("Snapdragon 865 CPU", 128, 96, 64)
-	db.InsertSchedule(key, ops.Schedule{RowTile: 8, ColPanel: 96, Unroll: 4})
-	if db.ScheduleLen() != 1 {
-		t.Fatalf("ScheduleLen = %d, want 1", db.ScheduleLen())
-	}
-	path := filepath.Join(t.TempDir(), "profile.json")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := back.LookupSchedule(key)
-	if !ok || s != (ops.Schedule{RowTile: 8, ColPanel: 96, Unroll: 4}) {
-		t.Errorf("round trip lost schedule: %+v, %v", s, ok)
-	}
-	if back.ScheduleHits != 1 || back.ScheduleMisses != 0 {
-		t.Errorf("schedule counters = %d/%d, want 1/0", back.ScheduleHits, back.ScheduleMisses)
-	}
-	if _, ok := back.LookupSchedule("sched|other|m=1,n=1,k=1"); ok {
-		t.Error("missing key should miss")
-	}
-	// Latency entries coexist with schedules across the round trip.
-	if v, ok := back.Lookup("latency"); !ok || v != 3.5 {
-		t.Errorf("latency entry lost: %v, %v", v, ok)
-	}
-}
-
 // TestLoadVersion1File pins backward compatibility: databases written
-// before the schedule cache (version 1, no schedules field) still load.
+// before the plan table (version 1) still load, and keep their entries
+// across a re-save.
 func TestLoadVersion1File(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.json")
 	if err := os.WriteFile(path, []byte(`{"version":1,"entries":{"k":2.5}}`), 0o644); err != nil {
@@ -130,11 +99,7 @@ func TestLoadVersion1File(t *testing.T) {
 	if v, ok := db.Lookup("k"); !ok || v != 2.5 {
 		t.Errorf("v1 entry lost: %v, %v", v, ok)
 	}
-	if db.ScheduleLen() != 0 {
-		t.Errorf("v1 file should have no schedules, got %d", db.ScheduleLen())
-	}
-	// A loaded v1 database accepts new schedules and saves as v2.
-	db.InsertSchedule(ScheduleKey("dev", 1, 2, 3), ops.Schedule{RowTile: 2, ColPanel: 8, Unroll: 4})
+	db.Insert("k2", 1)
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -142,55 +107,7 @@ func TestLoadVersion1File(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ScheduleLen() != 1 {
-		t.Errorf("upgraded file lost the schedule")
-	}
-}
-
-// TestChainScheduleCacheRoundTrip: chain-schedule pairs survive Save/Load
-// (the version-3 format) alongside latency entries and single-kernel
-// schedules, and older files without the field still load.
-func TestChainScheduleCacheRoundTrip(t *testing.T) {
-	db := New()
-	db.Insert("latency", 1.5)
-	db.InsertSchedule(ScheduleKey("dev", 8, 8, 8), ops.Schedule{RowTile: 2, ColPanel: 8, Unroll: 4})
-	key := ChainScheduleKey("Snapdragon 865 CPU", 8, 8, 32, 8, 32, 8)
-	pair := ChainSchedule{
-		Producer: ops.Schedule{RowTile: 8, ColPanel: 8, Unroll: 4},
-		Consumer: ops.Schedule{RowTile: 8, ColPanel: 32, Unroll: 4},
-	}
-	db.InsertChainSchedule(key, pair)
-	if db.ChainScheduleLen() != 1 {
-		t.Fatalf("ChainScheduleLen = %d, want 1", db.ChainScheduleLen())
-	}
-	path := filepath.Join(t.TempDir(), "profile.json")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := back.LookupChainSchedule(key)
-	if !ok || got != pair {
-		t.Errorf("round trip lost chain schedule: %+v, %v", got, ok)
-	}
-	if _, ok := back.LookupChainSchedule(ChainScheduleKey("dev", 1, 1, 1, 1, 1, 1)); ok {
-		t.Error("missing chain key should miss")
-	}
-	if back.ScheduleLen() != 1 || back.Len() != 1 {
-		t.Errorf("coexisting entries lost: %d schedules, %d latencies", back.ScheduleLen(), back.Len())
-	}
-	// A version-2 file (no chain_schedules field) still loads cleanly.
-	v2 := filepath.Join(t.TempDir(), "v2.json")
-	if err := os.WriteFile(v2, []byte(`{"version":2,"entries":{"k":1},"schedules":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, err := Load(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.ChainScheduleLen() != 0 {
-		t.Errorf("v2 file should have no chain schedules, got %d", old.ChainScheduleLen())
+	if back.Len() != 2 {
+		t.Errorf("upgraded file has %d entries, want 2", back.Len())
 	}
 }

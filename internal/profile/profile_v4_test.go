@@ -11,7 +11,8 @@ import (
 )
 
 // Format-migration coverage for the version-4 database: every older
-// fixture loads with its sections intact (and the missing ones empty), a
+// fixture loads with its live sections intact (and the missing ones
+// empty; the retired schedule caches are ignored), a
 // version from the future fails with the typed error, and saving a
 // loaded v4 file back is byte-stable.
 
@@ -32,7 +33,7 @@ func TestLoadV1IntoV4(t *testing.T) {
 	if v, ok := db.Lookup("combo"); !ok || v != 2.5 {
 		t.Errorf("v1 entry lost: %v, %v", v, ok)
 	}
-	if db.ScheduleLen() != 0 || db.ChainScheduleLen() != 0 || db.PlanLen() != 0 {
+	if db.PlanLen() != 0 {
 		t.Error("v1 file should load with the newer sections empty")
 	}
 }
@@ -43,11 +44,11 @@ func TestLoadV2IntoV4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, ok := db.LookupSchedule("sched|dev|m=8,n=8,k=8"); !ok || s != (ops.Schedule{RowTile: 4, ColPanel: 8, Unroll: 4}) {
-		t.Errorf("v2 schedule lost: %+v, %v", s, ok)
+	if v, ok := db.Lookup("combo"); !ok || v != 1 {
+		t.Errorf("v2 entry lost: %v, %v", v, ok)
 	}
-	if db.ChainScheduleLen() != 0 || db.PlanLen() != 0 {
-		t.Error("v2 file should load with chain schedules and plans empty")
+	if db.PlanLen() != 0 {
+		t.Error("v2 file should load with plans empty")
 	}
 }
 
@@ -56,10 +57,6 @@ func TestLoadV3IntoV4(t *testing.T) {
 		`{"version":3,"entries":{},"chain_schedules":{"chain|dev|p=8x8x8,c=8x8x8":{"producer":{"row_tile":2,"col_panel":8,"unroll":4},"consumer":{"row_tile":2,"col_panel":16,"unroll":4}}}}`))
 	if err != nil {
 		t.Fatal(err)
-	}
-	cs, ok := db.LookupChainSchedule("chain|dev|p=8x8x8,c=8x8x8")
-	if !ok || cs.Consumer.ColPanel != 16 {
-		t.Errorf("v3 chain schedule lost: %+v, %v", cs, ok)
 	}
 	if db.PlanLen() != 0 {
 		t.Error("v3 file should load with plans empty")
@@ -99,16 +96,11 @@ func TestLoadUnknownFutureVersionFails(t *testing.T) {
 func TestV4RoundTripByteStable(t *testing.T) {
 	db := New()
 	db.Insert("combo", 1.25)
-	db.InsertSchedule(ScheduleKey("dev", 16, 96, 64), ops.Schedule{RowTile: 8, ColPanel: 96, Unroll: 4})
-	db.InsertChainSchedule(ChainScheduleKey("dev", 8, 8, 32, 8, 32, 8), ChainSchedule{
-		Producer: ops.Schedule{RowTile: 8, ColPanel: 8, Unroll: 4},
-		Consumer: ops.Schedule{RowTile: 8, ColPanel: 32, Unroll: 4},
-	})
-	prod := ops.Schedule{RowTile: 4, ColPanel: 32, Unroll: 4}
+	prod := ops.Schedule{RowTile: 4, ColPanel: 32}
 	db.InsertPlan(PlanKey("dev", "00f1e2d3c4b5a697", 1), TunedPlan{
 		ChainMask:    1,
 		NoYellow:     true,
-		Kernels:      []TunedKernel{{Task: "sched|dev|m=16,n=96,k=64", Schedule: ops.Schedule{RowTile: 4, ColPanel: 96, Unroll: 4}, Producer: &prod}},
+		Kernels:      []TunedKernel{{Task: "sched|dev|m=16,n=96,k=64", Schedule: ops.Schedule{RowTile: 4, ColPanel: 96}, Producer: &prod}},
 		MeasuredNs:   12345,
 		MeasuredRuns: 7,
 	})
@@ -142,7 +134,7 @@ func TestPlanRoundTrip(t *testing.T) {
 	db := New()
 	key := PlanKey("Snapdragon 865 CPU", "deadbeefdeadbeef", 8)
 	tp := TunedPlan{ChainMask: 3, Seeds: 1, MeasuredNs: 999, MeasuredRuns: 4, Analytical: true,
-		Kernels: []TunedKernel{{Task: "sched|d|m=1,n=2,k=3", Schedule: ops.Schedule{RowTile: 1, ColPanel: 8, Unroll: 2}}}}
+		Kernels: []TunedKernel{{Task: "sched|d|m=1,n=2,k=3", Schedule: ops.Schedule{RowTile: 1, ColPanel: 8}}}}
 	db.InsertPlan(key, tp)
 	path := filepath.Join(t.TempDir(), "p.json")
 	if err := db.Save(path); err != nil {

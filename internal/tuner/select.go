@@ -1,22 +1,23 @@
 package tuner
 
 import (
-	"math"
+	"sort"
 
 	"dnnfusion/internal/ops"
 )
 
-// Schedule selection: the PatDNN-inherited GA, pointed at the real heavy
-// kernels instead of the abstract (TileM, TileN, TileK) surface. The
-// executable kernels never tile K — every output element accumulates the
-// full contraction in ascending order so results stay bit-exact with the
-// scalar oracle — so the searched genes are exactly the parameters the
-// blocked paths implement: register row-tile height, L1 column-panel
-// width, and inner unroll. The fitness surface prices the full-K working
-// set against the device's cache hierarchy (Device.CacheBytes), B-row
-// reuse against the tile height, and A re-streaming against the panel
-// count, so taller inputs (batch-stacked matmuls) select taller row tiles
-// and narrower panels than their batch-1 shapes.
+// Schedule selection over the real heavy kernels instead of the abstract
+// (TileM, TileN, TileK) surface. The executable kernels never tile K —
+// every output element accumulates the full contraction in ascending
+// order so results stay bit-exact with the scalar oracle — so the ranked
+// parameters are exactly the two the blocked paths implement: register
+// row-tile height and L1 column-panel width. The fitness surface prices
+// the full-K working set against the device's cache hierarchy
+// (Device.CacheBytes), B-row reuse against the tile height, and A
+// re-streaming against the panel count, so taller inputs (batch-stacked
+// matmuls) select taller row tiles and narrower panels than their batch-1
+// shapes. The space (4 row tiles × 7 panels) is small enough to rank
+// exhaustively, so selection is the argmax rather than a search.
 
 // rowTileChoices are the register-tile heights the blocked kernels
 // implement as specialized loops (ops.Schedule.RowTile).
@@ -25,16 +26,10 @@ var rowTileChoices = []int{1, 2, 4, 8}
 // colPanelChoices span thin L1 panels to full-width single passes.
 var colPanelChoices = []int{8, 16, 32, 64, 128, 256, 512}
 
-// ScheduleResult reports one schedule-selection run.
-type ScheduleResult struct {
-	Schedule ops.Schedule
-	Score    float64
-	Trials   int
-}
-
 // normalizeSchedule clamps a candidate against the task shape the way the
-// kernels will (ops side): panels live in [8, N]. Normalizing before the
-// result is stored keeps cache keys and determinism checks canonical.
+// kernels will (ops side): panels live in [8, N]. Normalizing before
+// ranking keeps task strings and determinism checks canonical, and folds
+// candidates that execute identically into one.
 func normalizeSchedule(t Task, s ops.Schedule) ops.Schedule {
 	if s.ColPanel < 8 {
 		s.ColPanel = 8
@@ -58,7 +53,7 @@ func normalizeSchedule(t Task, s ops.Schedule) ops.Schedule {
 // ScheduleFitness scores a tile schedule for a heavy kernel task in
 // (0, 1]. Deterministic, so selection results are reproducible.
 func ScheduleFitness(t Task, s ops.Schedule) float64 {
-	if s.RowTile < 1 || s.ColPanel < 1 || s.Unroll < 1 {
+	if s.RowTile < 1 || s.ColPanel < 1 {
 		return 0
 	}
 	// Working set of one pass with the full contraction resident: the
@@ -75,105 +70,106 @@ func ScheduleFitness(t Task, s ops.Schedule) float64 {
 	passScore := 1 / (1 + 0.08*float64(passes-1))
 	// Remainder loops hurt, exactly as in the abstract surface.
 	divScore := rem(t.M, s.RowTile) * rem(t.N, s.ColPanel)
-	// Unroll sweet spot at 4, as in Fitness.
-	unrollScore := 1 - 0.08*math.Abs(math.Log2(float64(s.Unroll))-2)
-	return cache * reuseScore * passScore * divScore * unrollScore
+	return cache * reuseScore * passScore * divScore
 }
 
-// taskSeed derives a deterministic GA seed from the task shape, so the
-// same kernel shape tunes to the same schedule in every compilation.
-func taskSeed(t Task) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, d := range []int{t.M, t.N, t.K} {
-		h ^= uint64(d)
-		h *= 1099511628211
+// SelectTopK returns the k best distinct schedules for the task by the
+// analytical fitness, best first: the first entry is the analytical
+// schedule, the rest the measured search's shortlist. Ties break toward
+// smaller tiles, so the ordering is a pure function of (task, device).
+func SelectTopK(t Task, k int) []ops.Schedule {
+	if k < 1 {
+		return nil
 	}
-	return h
-}
-
-func (r *rng) randomSchedule() ops.Schedule {
-	return ops.Schedule{
-		RowTile:  rowTileChoices[r.intn(len(rowTileChoices))],
-		ColPanel: colPanelChoices[r.intn(len(colPanelChoices))],
-		Unroll:   unrollChoices[r.intn(len(unrollChoices))],
+	type scored struct {
+		s     ops.Schedule
+		score float64
 	}
-}
-
-// Select runs the genetic tuner over tile schedules for one heavy kernel
-// task and returns the best (normalized) schedule. With a zero
-// GAOptions.Seed the seed derives from the task shape, making selection a
-// pure function of (task, device, options) — the determinism the
-// profile-database cache and repeat compilations rely on.
-func Select(t Task, opts GAOptions) ScheduleResult {
-	if opts.Seed == 0 {
-		opts.Seed = taskSeed(t)
+	seen := map[ops.Schedule]bool{}
+	var all []scored
+	for _, rt := range rowTileChoices {
+		for _, cp := range colPanelChoices {
+			s := normalizeSchedule(t, ops.Schedule{RowTile: rt, ColPanel: cp})
+			if seen[s] {
+				continue
+			}
+			seen[s] = true
+			all = append(all, scored{s: s, score: ScheduleFitness(t, s)})
+		}
 	}
-	opts = opts.withDefaults()
-	best, score, trials, _ := gaDriver(opts, (*rng).randomSchedule,
-		func(s ops.Schedule) float64 { return ScheduleFitness(t, normalizeSchedule(t, s)) },
-		crossoverSchedule, mutateSchedule)
-	return ScheduleResult{Schedule: normalizeSchedule(t, best), Score: score, Trials: trials}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.score != b.score {
+			return a.score > b.score
+		}
+		if a.s.RowTile != b.s.RowTile {
+			return a.s.RowTile < b.s.RowTile
+		}
+		return a.s.ColPanel < b.s.ColPanel
+	})
+	if k > len(all) {
+		k = len(all)
+	}
+	out := make([]ops.Schedule, k)
+	for i := range out {
+		out[i] = all[i].s
+	}
+	return out
 }
 
-// ChainScheduleResult reports one joint chain-schedule selection.
+// ChainScheduleResult is one ranked schedule pair for a fused contraction
+// chain.
 type ChainScheduleResult struct {
 	// Producer tiles the chain's first contraction (its ColPanel doubles
 	// as the online softmax's key-panel width); Consumer tiles the second.
 	Producer ops.Schedule
 	Consumer ops.Schedule
 	Score    float64
-	Trials   int
 }
 
-// SelectChain jointly selects the two tile schedules of a fused
-// contraction chain. The row tile is shared — the chain kernel pulls
+// SelectChainTopK returns the k best distinct schedule pairs for a fused
+// contraction chain, best first, ranked exhaustively (4 row tiles × 7
+// panels × 7 panels). The row tile is shared — the chain kernel pulls
 // producer rows in exactly the consumer's row groups, so mismatched
 // heights would re-tile at the seam — while each contraction gets its own
-// column panel. The space is small enough (4 row tiles × 7 panels × 7
-// panels) to search exhaustively, which keeps selection trivially
-// deterministic.
-func SelectChain(prod, cons Task) ChainScheduleResult {
-	var best ChainScheduleResult
+// column panel. The pair score is the product of the two fitnesses.
+func SelectChainTopK(prod, cons Task, k int) []ChainScheduleResult {
+	if k < 1 {
+		return nil
+	}
+	type pairKey struct{ p, c ops.Schedule }
+	seen := map[pairKey]bool{}
+	var all []ChainScheduleResult
 	for _, rt := range rowTileChoices {
 		for _, pcp := range colPanelChoices {
-			ps := normalizeSchedule(prod, ops.Schedule{RowTile: rt, ColPanel: pcp, Unroll: 4})
+			ps := normalizeSchedule(prod, ops.Schedule{RowTile: rt, ColPanel: pcp})
 			pScore := ScheduleFitness(prod, ps)
 			for _, ccp := range colPanelChoices {
-				cs := normalizeSchedule(cons, ops.Schedule{RowTile: rt, ColPanel: ccp, Unroll: 4})
-				score := pScore * ScheduleFitness(cons, cs)
-				best.Trials++
-				if score > best.Score {
-					best.Producer, best.Consumer, best.Score = ps, cs, score
+				cs := normalizeSchedule(cons, ops.Schedule{RowTile: rt, ColPanel: ccp})
+				key := pairKey{ps, cs}
+				if seen[key] {
+					continue
 				}
+				seen[key] = true
+				all = append(all, ChainScheduleResult{Producer: ps, Consumer: cs, Score: pScore * ScheduleFitness(cons, cs)})
 			}
 		}
 	}
-	return best
-}
-
-func crossoverSchedule(r *rng, a, b ops.Schedule) ops.Schedule {
-	pick := func(x, y int) int {
-		if r.intn(2) == 0 {
-			return x
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.Score != b.Score {
+			return a.Score > b.Score
 		}
-		return y
-	}
-	return ops.Schedule{
-		RowTile:  pick(a.RowTile, b.RowTile),
-		ColPanel: pick(a.ColPanel, b.ColPanel),
-		Unroll:   pick(a.Unroll, b.Unroll),
-	}
-}
-
-func mutateSchedule(r *rng, s ops.Schedule, pct int) ops.Schedule {
-	maybe := func(cur int, choices []int) int {
-		if r.intn(100) < pct {
-			return choices[r.intn(len(choices))]
+		if a.Producer.RowTile != b.Producer.RowTile {
+			return a.Producer.RowTile < b.Producer.RowTile
 		}
-		return cur
+		if a.Producer.ColPanel != b.Producer.ColPanel {
+			return a.Producer.ColPanel < b.Producer.ColPanel
+		}
+		return a.Consumer.ColPanel < b.Consumer.ColPanel
+	})
+	if k > len(all) {
+		k = len(all)
 	}
-	s.RowTile = maybe(s.RowTile, rowTileChoices)
-	s.ColPanel = maybe(s.ColPanel, colPanelChoices)
-	s.Unroll = maybe(s.Unroll, unrollChoices)
-	return s
+	return all[:k]
 }

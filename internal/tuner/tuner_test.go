@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -94,17 +95,20 @@ func TestGoodTilesBeatDegenerateTiles(t *testing.T) {
 	}
 }
 
-// --- Schedule selection (tuner.Select) ------------------------------------
+// --- Schedule selection (exhaustive ranking) -----------------------------
 
 func selTask(m, n, k int) Task {
 	return Task{M: m, N: n, K: k, Device: device.Snapdragon865CPU()}
 }
 
+// pick is the analytical schedule: the top of the exhaustive ranking.
+func pick(t Task) ops.Schedule { return SelectTopK(t, 1)[0] }
+
 func TestSelectDeterministic(t *testing.T) {
-	a := Select(selTask(128, 96, 64), GAOptions{})
-	b := Select(selTask(128, 96, 64), GAOptions{})
-	if a.Schedule != b.Schedule || a.Score != b.Score {
-		t.Errorf("same task selected different schedules: %+v vs %+v", a, b)
+	a := SelectTopK(selTask(128, 96, 64), 28)
+	b := SelectTopK(selTask(128, 96, 64), 28)
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Errorf("same task ranked differently: %v vs %v", a, b)
 	}
 }
 
@@ -112,8 +116,8 @@ func TestSelectNormalizedAgainstShape(t *testing.T) {
 	for _, tc := range []struct{ m, n, k int }{
 		{1, 16, 64}, {8, 10, 128}, {16, 96, 64}, {128, 96, 64}, {512, 8, 27}, {1000, 1000, 200},
 	} {
-		res := Select(selTask(tc.m, tc.n, tc.k), GAOptions{})
-		s := res.Schedule
+		task := selTask(tc.m, tc.n, tc.k)
+		s := pick(task)
 		switch s.RowTile {
 		case 1, 2, 4, 8:
 		default:
@@ -125,11 +129,8 @@ func TestSelectNormalizedAgainstShape(t *testing.T) {
 		if s.ColPanel > tc.n || (tc.n >= 8 && s.ColPanel < 8) {
 			t.Errorf("task %v: panel %d outside [8, N]", tc, s.ColPanel)
 		}
-		if res.Score <= 0 || res.Score > 1 {
-			t.Errorf("task %v: score %v outside (0, 1]", tc, res.Score)
-		}
-		if res.Trials == 0 {
-			t.Errorf("task %v: no trials recorded", tc)
+		if score := ScheduleFitness(task, s); score <= 0 || score > 1 {
+			t.Errorf("task %v: score %v outside (0, 1]", tc, score)
 		}
 	}
 }
@@ -138,14 +139,59 @@ func TestSelectNormalizedAgainstShape(t *testing.T) {
 // batch-stacked (taller M) variant of the same kernel must not select a
 // shorter row tile, and a single-row kernel can only select height 1.
 func TestSelectTallerTilesForTallerInputs(t *testing.T) {
-	single := Select(selTask(1, 16, 64), GAOptions{})
-	if single.Schedule.RowTile != 1 {
-		t.Errorf("M=1 selected row tile %d", single.Schedule.RowTile)
+	single := pick(selTask(1, 16, 64))
+	if single.RowTile != 1 {
+		t.Errorf("M=1 selected row tile %d", single.RowTile)
 	}
-	batched := Select(selTask(8, 16, 64), GAOptions{})
-	if batched.Schedule.RowTile <= single.Schedule.RowTile {
+	batched := pick(selTask(8, 16, 64))
+	if batched.RowTile <= single.RowTile {
 		t.Errorf("batch-stacked task did not select a taller tile: %d vs %d",
-			batched.Schedule.RowTile, single.Schedule.RowTile)
+			batched.RowTile, single.RowTile)
+	}
+}
+
+// TestRankedSchedulesDistinct: every ranked alternative must be a
+// different executable — distinct in (RowTile, ColPanel) after
+// normalization — or the measured search times the same program twice.
+// The ranking must also be the argmax: the first entry scores at least as
+// well as any point of the space.
+func TestRankedSchedulesDistinct(t *testing.T) {
+	type rc struct{ rt, cp int }
+	for _, m := range []int{1, 3, 8, 16, 128, 1000} {
+		for _, n := range []int{1, 8, 10, 96, 1000} {
+			for _, k := range []int{27, 64, 512} {
+				task := selTask(m, n, k)
+				ranked := SelectTopK(task, 28)
+				seen := map[rc]bool{}
+				for _, s := range ranked {
+					key := rc{s.RowTile, s.ColPanel}
+					if seen[key] {
+						t.Fatalf("task %dx%dx%d: schedule rt%d/cp%d ranked twice in %v", m, n, k, key.rt, key.cp, ranked)
+					}
+					seen[key] = true
+					if normalizeSchedule(task, s) != s {
+						t.Errorf("task %dx%dx%d: ranked schedule %v is not normalized", m, n, k, s)
+					}
+				}
+				best := ScheduleFitness(task, ranked[0])
+				for _, rt := range rowTileChoices {
+					for _, cp := range colPanelChoices {
+						s := normalizeSchedule(task, opsSchedule(rt, cp))
+						if f := ScheduleFitness(task, s); f > best {
+							t.Errorf("task %dx%dx%d: %v scores %v above the top pick %v (%v)", m, n, k, s, f, ranked[0], best)
+						}
+					}
+				}
+				pairs := map[[2]rc]bool{}
+				for _, p := range SelectChainTopK(task, selTask(m, k, n), 196) {
+					key := [2]rc{{p.Producer.RowTile, p.Producer.ColPanel}, {p.Consumer.RowTile, p.Consumer.ColPanel}}
+					if pairs[key] {
+						t.Fatalf("chain %dx%dx%d: pair %v ranked twice", m, n, k, key)
+					}
+					pairs[key] = true
+				}
+			}
+		}
 	}
 }
 
@@ -153,20 +199,18 @@ func TestScheduleFitnessBounds(t *testing.T) {
 	task := selTask(256, 256, 512)
 	for _, rt := range rowTileChoices {
 		for _, cp := range colPanelChoices {
-			for _, u := range unrollChoices {
-				s := ScheduleFitness(task, normalizeSchedule(task, opsSchedule(rt, cp, u)))
-				if s <= 0 || s > 1 {
-					t.Fatalf("fitness %v outside (0, 1] for rt=%d cp=%d u=%d", s, rt, cp, u)
-				}
+			s := ScheduleFitness(task, normalizeSchedule(task, opsSchedule(rt, cp)))
+			if s <= 0 || s > 1 {
+				t.Fatalf("fitness %v outside (0, 1] for rt=%d cp=%d", s, rt, cp)
 			}
 		}
 	}
-	if ScheduleFitness(task, opsSchedule(0, 0, 0)) != 0 {
+	if ScheduleFitness(task, opsSchedule(0, 0)) != 0 {
 		t.Error("zero schedule must score 0")
 	}
 }
 
 // opsSchedule is sugar for building a schedule literal in tests.
-func opsSchedule(rt, cp, u int) ops.Schedule {
-	return ops.Schedule{RowTile: rt, ColPanel: cp, Unroll: u}
+func opsSchedule(rt, cp int) ops.Schedule {
+	return ops.Schedule{RowTile: rt, ColPanel: cp}
 }

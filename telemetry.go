@@ -28,7 +28,7 @@ func ProfilingEnabled() bool { return obs.Armed() }
 // accumulated across every Runner of the model while profiling was armed.
 type KernelProfile struct {
 	// Kernel is the fused kernel's name; Schedule its tuner-selected tile
-	// schedule rendered compactly ("rt4/cp128/u4", with "+prod:..." for a
+	// schedule rendered compactly ("rt4/cp128", with "+prod:..." for a
 	// chain-fused kernel's producer schedule, or "default").
 	Kernel   string `json:"kernel"`
 	Schedule string `json:"schedule"`
